@@ -10,27 +10,42 @@ adder (probability mode, wire cuts) and a QAOA MaxCut ring (expectation mode,
 wire + gate cuts) — across batch-size caps, including caps smaller than the
 natural group size (exercising ragged final sub-batches).
 
-Two hard claims are checked on every row and enforced under ``--smoke`` (CI):
+A second leg times finite-shot sampling: the
+:class:`~repro.cutting.sampling.SamplingExecutor` (seeded shots drawn from the
+batched branch walk's rows) against the per-variant scalar oracle in
+``tests/sampling_oracle.py`` on the same unique requests.
 
-* results are **bit-identical** to the scalar executor, value for value and
-  distribution byte for byte;
+Hard claims, checked on every row and enforced under ``--smoke`` (CI):
+
+* results are **bit-identical** to the scalar reference, value for value and
+  distribution byte for byte, in both legs;
 * at batch caps >= 16 the batched executor clears **>= 5x** the scalar variant
   throughput (the two run in the same process on the same machine, so the ratio
-  is robust to CI hardware noise).
+  is robust to CI hardware noise);
+* the sampling executor clears **>= 2.5x** the scalar oracle's throughput on
+  every workload.
 
 Run directly (``python benchmarks/bench_batched.py [--smoke]``); results are
-archived as ``benchmarks/results/batched.json`` for the CI regression gate.
+archived as ``benchmarks/results/batched.json`` and
+``benchmarks/results/batched_sampling.json`` for the CI regression gate.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 import time
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import cut_circuit
 from repro.core.config import CutConfig
-from repro.cutting import BatchedExactExecutor, CutReconstructor, ExactExecutor
+from repro.cutting import (
+    BatchedExactExecutor,
+    CutReconstructor,
+    ExactExecutor,
+    SamplingExecutor,
+)
 from repro.engine import request_key
 from repro.simulator.batched import branch_bound
 from repro.workloads import Workload, WorkloadKind, make_workload
@@ -38,9 +53,20 @@ from repro.workloads import Workload, WorkloadKind, make_workload
 from bench_engine import halved_ring_solution, ring_qaoa_workload
 from harness import add_smoke_argument, publish, smoke_passed
 
+# The scalar sampling oracle lives with the tests it anchors.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from sampling_oracle import ScalarSamplingExecutor  # noqa: E402
+
 #: Batch-size caps swept per workload (1 = scalar-shaped batches, ragged tails
 #: included whenever the cap does not divide a group).
 BATCH_CAPS = (1, 4, 16, 64)
+
+#: Sampling leg: per-variant shots and base seed (fixed, so tables are stable).
+SAMPLING_SHOTS = 1000
+SAMPLING_SEED = 7
+
+#: Minimum sampling-executor speedup over the scalar oracle asserted under --smoke.
+SAMPLING_MIN_SPEEDUP = 2.5
 
 
 def _workloads(smoke: bool) -> List[Tuple[Workload, object]]:
@@ -144,12 +170,43 @@ def generate_batched_rows(smoke: bool = False, repeats: int = 3) -> List[Dict[st
     return rows
 
 
+def generate_sampling_rows(smoke: bool = False, repeats: int = 3) -> List[Dict[str, object]]:
+    """Sampling executor vs the scalar oracle, one row per workload."""
+    rows: List[Dict[str, object]] = []
+    for workload, cut in _workloads(smoke):
+        variants = _unique_requests(workload, cut)
+        scalar_seconds, reference = _timed_run(
+            lambda: ScalarSamplingExecutor(shots=SAMPLING_SHOTS, seed=SAMPLING_SEED),
+            variants,
+            repeats,
+        )
+        seconds, comparable = _timed_run(
+            lambda: SamplingExecutor(shots=SAMPLING_SHOTS, seed=SAMPLING_SEED),
+            variants,
+            repeats,
+        )
+        rows.append(
+            {
+                "workload": workload.name,
+                "mode": workload.kind,
+                "unique_variants": len(variants),
+                "shots": SAMPLING_SHOTS,
+                "scalar_s": round(scalar_seconds, 4),
+                "batched_s": round(seconds, 4),
+                "speedup": round(scalar_seconds / seconds, 2) if seconds > 0 else 0.0,
+                "identical": comparable == reference,
+            }
+        )
+    return rows
+
+
 def main(argv: Optional[Sequence[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     add_smoke_argument(
         parser,
         "small sizes + hard assertions (bit-identity on every row, >= 5x "
-        "batched-vs-scalar throughput at batch caps >= 16)",
+        "batched-vs-scalar throughput at batch caps >= 16, >= 2.5x sampling "
+        "throughput over the scalar oracle)",
     )
     args = parser.parse_args(argv)
     rows = generate_batched_rows(smoke=args.smoke)
@@ -157,6 +214,12 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         "batched",
         "Batched vs scalar variant simulation (speedup per batch-size cap)",
         rows,
+    )
+    sampling_rows = generate_sampling_rows(smoke=args.smoke)
+    publish(
+        "batched_sampling",
+        "Finite-shot sampling on the batched walk vs the scalar oracle",
+        sampling_rows,
     )
     if args.smoke:
         failures = [row for row in rows if not row["identical"]]
@@ -172,7 +235,17 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
                 f"{workload}: expected >= 5x batched-vs-scalar throughput at "
                 f"batch >= 16, got {best}x"
             )
-        smoke_passed("bit-identical, >= 5x at batch >= 16")
+        failures = [row for row in sampling_rows if not row["identical"]]
+        assert not failures, f"sampled results diverged from the scalar oracle: {failures}"
+        slowest = min(row["speedup"] for row in sampling_rows)
+        assert slowest >= SAMPLING_MIN_SPEEDUP, (
+            f"expected >= {SAMPLING_MIN_SPEEDUP}x sampling throughput over the "
+            f"scalar oracle on every workload, got {slowest}x"
+        )
+        smoke_passed(
+            "bit-identical, >= 5x at batch >= 16, sampling bit-identical and "
+            f">= {SAMPLING_MIN_SPEEDUP}x"
+        )
 
 
 if __name__ == "__main__":

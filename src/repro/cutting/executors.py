@@ -30,7 +30,9 @@ Four executors are provided:
 * :class:`~repro.cutting.sampling.SamplingExecutor` (in
   :mod:`repro.cutting.sampling`) — finite-shot estimation: every variant value is
   the mean of ``shots`` multinomial samples, with optional per-variant shot
-  allocation (Section 2.2's shots-based model),
+  allocation (Section 2.2's shots-based model).  It runs on the same batched
+  branch walk, grouped and sized by :func:`batched_chunks`, and draws each
+  request's shots from its own branch rows,
 * :class:`NoisyExecutor` — the "small quantum device" of the Table 3 experiment: the
   variant is compiled to the device basis, Pauli noise is injected stochastically
   per trajectory, and finite-shot statistical noise is emulated; results are averaged
@@ -42,7 +44,7 @@ Four executors are provided:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -69,6 +71,9 @@ from ..simulator.noise import DeviceModel, inject_pauli_noise
 from .variants import SubcircuitVariant
 
 __all__ = ["VariantExecutor", "ExactExecutor", "BatchedExactExecutor", "NoisyExecutor"]
+
+#: A pending request as the executors receive it: ``(fingerprint, variant, seed)``.
+PendingTriple = Tuple[str, SubcircuitVariant, Optional[Tuple[int, ...]]]
 
 #: A dispatch backend: receives the executor and the unique cache-miss requests
 #: ``[(fingerprint, variant, seed), ...]`` and returns ``[(fingerprint, result)]``.
@@ -144,9 +149,7 @@ class VariantExecutor(ABC):
         """Per-request seed material; None for deterministic executors."""
         return None
 
-    def run_many(
-        self, pending: Sequence[Tuple[str, SubcircuitVariant, Optional[Tuple[int, ...]]]]
-    ) -> List[Tuple[str, VariantResult]]:
+    def run_many(self, pending: Sequence[PendingTriple]) -> List[Tuple[str, VariantResult]]:
         """Execute unique cache-miss requests; return ``[(fingerprint, result)]``.
 
         ``pending`` holds ``(fingerprint, variant, seed)`` triples that already
@@ -224,7 +227,7 @@ class VariantExecutor(ABC):
         """
         namespace = self._scoped_namespace()
         table: Dict[str, VariantResult] = {}
-        pending: List[Tuple[str, SubcircuitVariant, Optional[Tuple[int, ...]]]] = []
+        pending: List[PendingTriple] = []
         scheduled: set = set()
         for variant in variants:
             self._requests += 1
@@ -317,8 +320,55 @@ class ExactExecutor(VariantExecutor):
 
 
 #: Complex-element budget of one batched simulation pass (see
-#: :class:`BatchedExactExecutor`): ``2**23`` elements is ~128 MB of amplitudes.
+#: :func:`batched_chunks`): ``2**23`` elements is ~128 MB of amplitudes.
 DEFAULT_MAX_BATCH_ELEMENTS = 1 << 23
+
+
+def check_output_tags(variant: SubcircuitVariant) -> None:
+    """Probability-mode variants must measure every output qubit (``out:`` tags).
+
+    Mirrors the scalar path, which raises when a branch lacks an output
+    outcome; the batched walk validates up front because it never builds
+    per-branch outcome dictionaries.
+    """
+    if getattr(variant, "mode", None) != "probability":
+        return
+    recorded = {
+        op.tag[len(_OUTPUT_TAG_PREFIX) :]
+        for op in variant.circuit
+        if op.is_measurement and op.tag and op.tag.startswith(_OUTPUT_TAG_PREFIX)
+    }
+    for qubit in variant.output_qubit_order:
+        if str(qubit) not in recorded:
+            raise CuttingError(
+                f"variant for subcircuit {variant.subcircuit_index} did not record "
+                f"an outcome for original qubit {qubit}"
+            )
+
+
+def batched_chunks(
+    pending: Sequence[PendingTriple], max_batch_elements: int
+) -> Iterator[List[PendingTriple]]:
+    """Split pending requests into same-structure sub-batches for one batched walk.
+
+    Every request is validated (:func:`check_output_tags`) before the first
+    sub-batch is yielded.  Requests are grouped by
+    :func:`~repro.simulator.batched.variant_group_key`; groups keep first-seen
+    order and requests keep their order within a group.  A group is split so
+    that ``batch * 2**n *`` :func:`~repro.simulator.batched.branch_bound` stays
+    under ``max_batch_elements`` (at least one variant per sub-batch).  Both
+    batched executors size their walks here.
+    """
+    groups: Dict[Tuple, List[PendingTriple]] = {}
+    for request in pending:
+        check_output_tags(request[1])
+        groups.setdefault(variant_group_key(request[1].circuit), []).append(request)
+    for items in groups.values():
+        circuit = items[0][1].circuit
+        per_variant = (2**circuit.num_qubits) * branch_bound(circuit)
+        limit = max(1, max_batch_elements // per_variant)
+        for start in range(0, len(items), limit):
+            yield items[start : start + limit]
 
 
 class BatchedExactExecutor(VariantExecutor):
@@ -376,62 +426,26 @@ class BatchedExactExecutor(VariantExecutor):
         """
         return variant_group_key(variant.circuit)
 
-    @staticmethod
-    def _check_outputs(variant: SubcircuitVariant) -> None:
-        """Probability-mode variants must measure every output qubit (``out:`` tags).
-
-        Mirrors the scalar path, which raises when a branch lacks an output
-        outcome; the batched path validates up front because it never builds
-        per-branch outcome dictionaries.
-        """
-        if getattr(variant, "mode", None) != "probability":
-            return
-        recorded = {
-            op.tag[len(_OUTPUT_TAG_PREFIX) :]
-            for op in variant.circuit
-            if op.is_measurement and op.tag and op.tag.startswith(_OUTPUT_TAG_PREFIX)
-        }
-        for qubit in variant.output_qubit_order:
-            if str(qubit) not in recorded:
-                raise CuttingError(
-                    f"variant for subcircuit {variant.subcircuit_index} did not record "
-                    f"an outcome for original qubit {qubit}"
-                )
-
     # ------------------------------------------------------------------ execution
     def execute_variant(
         self, variant: SubcircuitVariant, seed: Optional[Tuple[int, ...]] = None
     ) -> VariantResult:
-        self._check_outputs(variant)
+        check_output_tags(variant)
         value, distribution = simulate_variant_group([variant])[0]
         return VariantResult(value=value, distribution=distribution)
 
-    def run_many(
-        self, pending: Sequence[Tuple[str, SubcircuitVariant, Optional[Tuple[int, ...]]]]
-    ) -> List[Tuple[str, VariantResult]]:
+    def run_many(self, pending: Sequence[PendingTriple]) -> List[Tuple[str, VariantResult]]:
         """Group pending requests by structure and run each group batched.
 
-        Groups keep first-seen order and requests keep their order within a
-        group; groups larger than the memory budget are split into sub-batches
-        (so a "ragged" final sub-batch — even a single variant — flows through
-        the same code path and stays bit-identical).
+        Sub-batches come from :func:`batched_chunks` (so a "ragged" final
+        sub-batch — even a single variant — flows through the same code path
+        and stays bit-identical).
         """
-        groups: Dict[Tuple, List[Tuple[str, SubcircuitVariant]]] = {}
-        for key, variant, _ in pending:
-            self._check_outputs(variant)
-            groups.setdefault(self.group_key(variant), []).append((key, variant))
         results: List[Tuple[str, VariantResult]] = []
-        for items in groups.values():
-            circuit = items[0][1].circuit
-            per_variant = (2**circuit.num_qubits) * branch_bound(circuit)
-            limit = max(1, self._max_batch_elements // per_variant)
-            for start in range(0, len(items), limit):
-                chunk = items[start : start + limit]
-                outcomes = simulate_variant_group([variant for _, variant in chunk])
-                for (key, _), (value, distribution) in zip(chunk, outcomes):
-                    results.append(
-                        (key, VariantResult(value=value, distribution=distribution))
-                    )
+        for chunk in batched_chunks(pending, self._max_batch_elements):
+            outcomes = simulate_variant_group([variant for _, variant, _ in chunk])
+            for (key, _, _), (value, distribution) in zip(chunk, outcomes):
+                results.append((key, VariantResult(value=value, distribution=distribution)))
         return results
 
 

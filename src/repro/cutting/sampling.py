@@ -12,6 +12,15 @@ with standard error ``O(1/sqrt(shots))`` — which is exactly what real hardware
 reports, and what makes shot *allocation* across variants matter (see
 :mod:`repro.engine.allocation`).
 
+Execution runs on the batched branch walk of :mod:`repro.simulator.batched`:
+cache-miss requests are grouped by circuit structure, each group is walked
+once into per-variant branch rows ``(prob, sign, out_index)``, and every
+request draws its shots from its own rows.  The rows reproduce the scalar
+:class:`~repro.simulator.dynamic.BranchingSimulator` branches bit for bit
+(order, pruning and probability products), so the samples are exactly those a
+per-variant scalar walk would give.  A per-executor memo keeps the compact
+rows, bounded by stored rows, so streaming rounds re-sample without re-walking.
+
 Determinism contract (shared with :class:`~repro.cutting.executors.NoisyExecutor`):
 every request draws its own RNG seeded from ``(base_seed, fingerprint, shots,
 stage)``, so results are independent of submission order, worker count and
@@ -24,16 +33,21 @@ never alias full-pass results, even at coinciding shot counts.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..engine.cache import ResultCache, build_cache_key, build_cache_namespace
 from ..engine.requests import VariantResult, request_key, seed_from_fingerprint
 from ..exceptions import CuttingError
-from ..simulator.dynamic import BranchingSimulator
+from ..simulator.batched import BranchRows, variant_group_key, walk_variant_group
 from ..simulator.sampler import sample_weighted_counts_prefix
-from .executors import VariantExecutor, branch_output_index
+from .executors import (
+    DEFAULT_MAX_BATCH_ELEMENTS,
+    PendingTriple,
+    VariantExecutor,
+    batched_chunks,
+)
 from .variants import SubcircuitVariant
 
 __all__ = ["SamplingExecutor"]
@@ -41,11 +55,12 @@ __all__ = ["SamplingExecutor"]
 #: Default per-variant shot count when no allocation is applied.
 DEFAULT_SHOTS = 4096
 
-#: Entries kept in the per-executor branch-simulation memo (see
-#: :meth:`SamplingExecutor.execute_variant`): streaming sessions re-sample the
-#: same variant circuit every round, and the exact branch walk — not the
-#: multinomial draw — dominates that cost.
-_BRANCH_MEMO_SIZE = 4096
+#: Branch rows kept in the per-executor branch memo (see
+#: :meth:`SamplingExecutor.run_many`): streaming sessions re-sample the same
+#: variant circuits every round, and the exact branch walk — not the draw —
+#: dominates that cost.  Bounded by stored rows (24 bytes each, ~24 MB at the
+#: cap), not entries, so sessions over many small variants never thrash.
+_BRANCH_MEMO_ROWS = 1 << 20
 
 
 def _respawn_sampling(
@@ -57,10 +72,12 @@ def _respawn_sampling(
 ) -> "SamplingExecutor":
     """Spawn factory: rebuild a worker-process copy from explicit constructor state."""
     executor = SamplingExecutor(shots=shots, seed=seed)
+    # An empty allocation is still an allocation: it keeps the stage label and
+    # the seed shots, which set_allocation(None) would clear.
     executor.set_allocation(
-        dict(allocation_items) or None,
+        dict(allocation_items),
         stage=stage,
-        seed_shots_by_fingerprint=dict(seed_shots_items) if seed_shots_items else None,
+        seed_shots_by_fingerprint=dict(seed_shots_items or ()),
     )
     return executor
 
@@ -68,7 +85,9 @@ def _respawn_sampling(
 class SamplingExecutor(VariantExecutor):
     """Estimate variant values from finite multinomial samples of the exact branches.
 
-    ``shots`` is the default per-variant budget; :meth:`set_allocation` overrides
+    Same-structure requests share one batched branch walk (see
+    :meth:`run_many` and :meth:`group_key`).  ``shots`` is the default
+    per-variant budget; :meth:`set_allocation` overrides
     it per fingerprint (the engine applies a :class:`~repro.engine.allocation.ShotAllocation`
     this way).  ``executions`` counts variants, not shots, keeping overhead
     reports comparable with the exact and noisy executors.
@@ -93,8 +112,8 @@ class SamplingExecutor(VariantExecutor):
         self._allocation_floor: Optional[int] = None
         self._seed_shots: Dict[str, int] = {}
         self._stage = ""
-        self._simulator = BranchingSimulator()
-        self._branch_memo: Dict[str, object] = {}
+        self._branch_memo: Dict[str, BranchRows] = {}
+        self._branch_memo_rows = 0
 
     # ------------------------------------------------------------------ allocation
     @property
@@ -231,42 +250,85 @@ class SamplingExecutor(VariantExecutor):
         )
 
     def __getstate__(self) -> Dict:
-        # The branch memo holds full simulation payloads; like the result
-        # cache (see VariantExecutor.__getstate__) it never crosses the
-        # process boundary.
+        # Like the result cache (see VariantExecutor.__getstate__), the
+        # branch memo never crosses the process boundary.
         state = super().__getstate__()
         state["_branch_memo"] = {}
+        state["_branch_memo_rows"] = 0
         return state
 
     # ------------------------------------------------------------------ execution
+    def group_key(self, variant: SubcircuitVariant) -> Tuple:
+        """Structure key under which requests share one batched branch walk.
+
+        The :class:`~repro.engine.ParallelEngine` sorts pending requests by it
+        before chunking, so same-structure variants reach one worker together.
+        """
+        return variant_group_key(variant.circuit)
+
     def execute_variant(
         self, variant: SubcircuitVariant, seed: Optional[Tuple[int, ...]] = None
     ) -> VariantResult:
-        fingerprint = request_key(variant)
+        return self.run_many([(request_key(variant), variant, seed)])[0][1]
+
+    def run_many(self, pending: Sequence[PendingTriple]) -> List[Tuple[str, VariantResult]]:
+        """Sample every pending request from its exact branch rows.
+
+        Rows come from the branch memo when present; the misses are walked
+        group by group on the batched kernel (sized by
+        :func:`~repro.cutting.executors.batched_chunks`) and each group is
+        sampled as soon as its rows exist, so results never depend on what
+        the memo keeps.
+        """
+        results: List[Tuple[str, VariantResult]] = []
+        misses: List[PendingTriple] = []
+        for key, variant, seed in pending:
+            rows = self._branch_memo.get(key)
+            if rows is None:
+                misses.append((key, variant, seed))
+            else:
+                results.append((key, self._sample(key, variant, rows, seed)))
+        for chunk in batched_chunks(misses, DEFAULT_MAX_BATCH_ELEMENTS):
+            walked = walk_variant_group([variant for _, variant, _ in chunk])
+            for (key, variant, seed), rows in zip(chunk, walked):
+                # Copies: a memo entry must not pin its whole group's arrays.
+                rows = BranchRows(rows.prob.copy(), rows.sign.copy(), rows.out_index.copy())
+                self._remember(key, rows)
+                results.append((key, self._sample(key, variant, rows, seed)))
+        return results
+
+    def _remember(self, fingerprint: str, rows: BranchRows) -> None:
+        """Memoise one variant's rows, evicting the oldest past the row budget."""
+        size = len(rows.prob)
+        if size > _BRANCH_MEMO_ROWS:
+            return
+        while self._branch_memo_rows + size > _BRANCH_MEMO_ROWS:
+            oldest = self._branch_memo.pop(next(iter(self._branch_memo)))
+            self._branch_memo_rows -= len(oldest.prob)
+        self._branch_memo[fingerprint] = rows
+        self._branch_memo_rows += size
+
+    def _sample(
+        self,
+        fingerprint: str,
+        variant: SubcircuitVariant,
+        rows: BranchRows,
+        seed: Optional[Tuple[int, ...]],
+    ) -> VariantResult:
+        """Draw this request's seeded shots over its branch rows."""
         shots = self.shots_for(fingerprint)
         if seed is None:
             seed = self.seed_for(fingerprint)
-        rng = np.random.default_rng(seed)
-        # The exact branch walk depends only on the circuit, never on the shot
-        # count or seed; memoising it keeps streaming sessions (which re-sample
-        # every variant each round) from re-simulating R times.
-        result = self._branch_memo.get(fingerprint)
-        if result is None:
-            result = self._simulator.run(variant.circuit)
-            if len(self._branch_memo) >= _BRANCH_MEMO_SIZE:
-                self._branch_memo.pop(next(iter(self._branch_memo)))
-            self._branch_memo[fingerprint] = result
-        probabilities = np.array([branch.probability for branch in result.branches])
-        signs = np.array([branch.sign for branch in result.branches], dtype=float)
-        counts = sample_weighted_counts_prefix(probabilities, shots, rng)
-        value = float(np.dot(counts, signs) / shots)
+        counts = sample_weighted_counts_prefix(rows.prob, shots, np.random.default_rng(seed))
+        value = float(np.dot(counts, rows.sign.astype(float)) / shots)
         distribution: Optional[np.ndarray] = None
         if variant.mode == "probability":
-            distribution = np.zeros(2 ** len(variant.output_qubit_order))
-            for branch, count in zip(result.branches, counts):
-                if count:
-                    distribution[branch_output_index(branch, variant)] += (
-                        branch.sign * count
-                    )
+            # Integer-valued partial sums (sign * count) are exact in float64,
+            # so the bincount accumulation order cannot change a bit.
+            distribution = np.bincount(
+                rows.out_index,
+                weights=rows.sign * counts,
+                minlength=2 ** len(variant.output_qubit_order),
+            )
             distribution /= shots
         return VariantResult(value=value, distribution=distribution)

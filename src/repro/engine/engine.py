@@ -441,9 +441,9 @@ class ParallelEngine:
         vectorized fast path survives parallel dispatch.  Ordering is
         deterministic (first-seen group order, stable within a group) and — as
         for any reordering — results are unaffected: every request is evaluated
-        independently and collected by fingerprint.  Executors without
-        ``group_key`` (scalar, sampling, noisy, duck-typed device backends) see
-        their batch untouched.
+        independently and collected by fingerprint.  The batched exact and the
+        sampling executors expose ``group_key``; executors without it (scalar
+        exact, noisy, duck-typed device backends) see their batch untouched.
         """
         group_key = getattr(executor, "group_key", None)
         if group_key is None or len(pending) < 2:

@@ -2,10 +2,12 @@
 
 from .batched import (
     BatchedStatevector,
+    BranchRows,
     branch_bound,
     simulate_batch,
     simulate_variant_group,
     variant_group_key,
+    walk_variant_group,
 )
 from .dynamic import Branch, BranchedResult, BranchingSimulator, simulate_dynamic
 from .expectation import (
@@ -37,6 +39,7 @@ __all__ = [
     "BranchedResult",
     "BranchingSimulator",
     "BatchedStatevector",
+    "BranchRows",
     "DeviceModel",
     "NoiseModel",
     "NoisySimulator",
@@ -47,6 +50,7 @@ __all__ = [
     "simulate_batch",
     "simulate_variant_group",
     "variant_group_key",
+    "walk_variant_group",
     "basis_rotation_circuit",
     "counts_to_distribution",
     "diagonalized_term",

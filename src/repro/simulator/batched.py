@@ -29,14 +29,16 @@ reduced with the same per-row 1-D summation the scalar ``_project`` uses (axis
 reductions are *not* bitwise-stable in NumPy, per-row sums are), branch rows are
 interleaved in the scalar enumeration order (outcome 0 then 1 per parent, dead
 branches dropped), and the final per-variant value/distribution accumulate in
-the same left-to-right order.  Identity padding can flip the sign of exactly-zero
+the same left-to-right order.  :func:`walk_variant_group` exposes the surviving
+branch rows themselves (probability, sign, output index); exact extraction and
+finite-shot sampling both read them.  Identity padding can flip the sign of exactly-zero
 amplitudes, which is invisible to every output (probabilities are ``|amp|**2``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,9 +57,11 @@ from .statevector import (
 
 __all__ = [
     "BatchedStatevector",
+    "BranchRows",
     "simulate_batch",
     "simulate_variant_group",
     "variant_group_key",
+    "walk_variant_group",
     "branch_bound",
 ]
 
@@ -459,21 +463,36 @@ def simulate_batch(
 
 
 # --------------------------------------------------------------------------- group runner
-def simulate_variant_group(
+class BranchRows(NamedTuple):
+    """The surviving measurement branches of one variant, as parallel arrays.
+
+    Rows follow the scalar :class:`~repro.simulator.dynamic.BranchingSimulator`
+    enumeration order (outcome 0 before 1 at every split, pruned branches
+    dropped).  ``prob`` holds each branch's probability — the scalar product
+    ``parent * conditional``, bit for bit — ``sign`` its cumulative ±1 outcome
+    sign, and ``out_index`` the basis index of its recorded ``out:`` outcomes
+    over the variant's ``output_qubit_order`` (0 when nothing is recorded).
+    """
+
+    prob: np.ndarray
+    sign: np.ndarray
+    out_index: np.ndarray
+
+
+def walk_variant_group(
     variants: Sequence,
     prune_threshold: float = _DEFAULT_PRUNE_THRESHOLD,
-) -> List[Tuple[float, Optional[np.ndarray]]]:
-    """Run a group of same-structure subcircuit variants in one batched pass.
+) -> List[BranchRows]:
+    """Walk a group of same-structure subcircuit variants in one batched pass.
 
-    ``variants`` are duck-typed (``circuit``, ``mode``, ``output_qubit_order``
-    attributes — canonically :class:`repro.cutting.variants.SubcircuitVariant`)
-    and must share a :func:`variant_group_key`.  Returns, per variant and in
-    order, ``(value, distribution)``: the sign-weighted expectation of the
-    recorded measurement signs and, for ``"probability"``-mode variants, the
-    sign-weighted quasi-distribution over the variant's output qubits
-    (``None`` otherwise) — bit-identical to what the scalar
-    :class:`~repro.simulator.dynamic.BranchingSimulator` pipeline produces for
-    each variant alone.
+    ``variants`` are duck-typed (``circuit`` and, optionally,
+    ``output_qubit_order`` attributes — canonically
+    :class:`repro.cutting.variants.SubcircuitVariant`) and must share a
+    :func:`variant_group_key`.  Returns one :class:`BranchRows` per variant, in
+    order; each row set is bit-identical to the branches the scalar simulator
+    enumerates for that variant alone.  Exact extraction
+    (:func:`simulate_variant_group`) and finite-shot sampling
+    (:class:`~repro.cutting.sampling.SamplingExecutor`) both consume these rows.
     """
     if not variants:
         return []
@@ -482,7 +501,7 @@ def simulate_variant_group(
     for item in parsed[1:]:
         if (item.num_qubits, item.anchors) != (reference.num_qubits, reference.anchors):
             raise SimulationError(
-                "simulate_variant_group requires variants sharing a "
+                "a batched group walk requires variants sharing a "
                 "variant_group_key; group requests before batching"
             )
     num_qubits = reference.num_qubits
@@ -548,21 +567,37 @@ def simulate_variant_group(
             out_position=out_positions[anchor],
         )
 
-    # Extraction, mirroring the scalar accumulation order exactly: Python-float
-    # left-to-right sums per variant, rows in enumeration order.
-    contributions = sign * prob
-    boundaries = np.searchsorted(variant_of, np.arange(batch + 1))
+    boundaries = np.searchsorted(variant_of, np.arange(batch + 1)).tolist()
+    return [
+        BranchRows(prob[start:stop], sign[start:stop], out_index[start:stop])
+        for start, stop in zip(boundaries[:-1], boundaries[1:])
+    ]
+
+
+def simulate_variant_group(
+    variants: Sequence,
+    prune_threshold: float = _DEFAULT_PRUNE_THRESHOLD,
+) -> List[Tuple[float, Optional[np.ndarray]]]:
+    """Exact values of a group of same-structure variants, from one batched walk.
+
+    Takes the same ``variants`` as :func:`walk_variant_group` (plus their
+    ``mode``).  Returns, per variant and in order, ``(value, distribution)``:
+    the sign-weighted expectation of the recorded measurement signs and, for
+    ``"probability"``-mode variants, the sign-weighted quasi-distribution over
+    the variant's output qubits (``None`` otherwise) — bit-identical to what
+    the scalar :class:`~repro.simulator.dynamic.BranchingSimulator` pipeline
+    produces for each variant alone.
+    """
     results: List[Tuple[float, Optional[np.ndarray]]] = []
-    for column, variant in enumerate(variants):
-        start, stop = int(boundaries[column]), int(boundaries[column + 1])
-        value = float(sum(contributions[start:stop].tolist()))
+    for variant, rows in zip(variants, walk_variant_group(variants, prune_threshold)):
+        # Mirrors the scalar accumulation order exactly: Python-float
+        # left-to-right sums, rows in enumeration order.
+        contributions = (rows.sign * rows.prob).tolist()
+        value = float(sum(contributions))
         distribution: Optional[np.ndarray] = None
         if getattr(variant, "mode", None) == "probability":
-            order = tuple(variant.output_qubit_order)
-            distribution = np.zeros(2 ** len(order))
-            indexes = out_index[start:stop].tolist()
-            values = contributions[start:stop].tolist()
-            for index, weight in zip(indexes, values):
+            distribution = np.zeros(2 ** len(tuple(variant.output_qubit_order)))
+            for index, weight in zip(rows.out_index.tolist(), contributions):
                 distribution[index] += weight
         results.append((value, distribution))
     return results

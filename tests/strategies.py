@@ -10,6 +10,9 @@ strategies.  Import from test modules as ``from strategies import ...`` —
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -237,3 +240,63 @@ def two_cut_probability_solutions(draw):
             WireCut(qubit=1, downstream_op=5),
         ],
     )
+
+
+@st.composite
+def sampling_variant_groups(draw):
+    """A :func:`variant_groups` draw in expectation or probability mode.
+
+    Probability-mode groups append one ``out:`` measurement per drawn output
+    qubit to every variant (identically, so the group keeps one skeleton).
+    """
+    variants = draw(variant_groups())
+    if not draw(st.booleans()):
+        return variants
+    num_qubits = variants[0].circuit.num_qubits
+    size = draw(st.integers(min_value=0, max_value=num_qubits))
+    output = tuple(draw(st.permutations(range(num_qubits)))[:size])
+    grouped = []
+    for variant in variants:
+        circuit = variant.circuit.copy()
+        for qubit in output:
+            circuit.measure(qubit, tag=f"out:{qubit}")
+        grouped.append(make_variant(circuit, mode="probability", output=output))
+    return grouped
+
+
+@dataclass(frozen=True)
+class SamplingState:
+    """An allocation state of a sampling executor, applied over request keys.
+
+    ``kind`` is ``"none"`` (default shots), ``"pilot"`` (every request
+    allocated under the pilot stage label), ``"floor"`` (half the requests
+    allocated, the rest sampled at the allocation floor) or ``"stream"`` (a
+    streaming prefix round: drawn counts below the pinned seed shots).
+    """
+
+    kind: str
+    base: int
+
+    def apply(self, executor, keys: Sequence[str]) -> None:
+        unique = list(dict.fromkeys(keys))
+        if self.kind == "pilot":
+            executor.set_allocation(
+                {key: self.base + i for i, key in enumerate(unique)}, stage="pilot"
+            )
+        elif self.kind == "floor":
+            covered = unique[: max(1, len(unique) // 2)]
+            executor.set_allocation({key: self.base + i for i, key in enumerate(covered)})
+        elif self.kind == "stream":
+            executor.set_allocation(
+                {key: self.base for key in unique},
+                stage="stream",
+                seed_shots_by_fingerprint={key: 3 * self.base for key in unique},
+            )
+
+
+#: Allocation states for the sampling bit-identity properties.
+sampling_states = st.builds(
+    SamplingState,
+    kind=st.sampled_from(["none", "pilot", "floor", "stream"]),
+    base=st.integers(min_value=1, max_value=200),
+)

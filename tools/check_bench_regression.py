@@ -79,6 +79,21 @@ def collect_metrics(results_dir: Path) -> Dict[str, Dict]:
             higher_is_better=True,
         )
 
+    rows = _rows(results_dir, "batched_sampling")
+    if rows:
+        # Finite-shot sampling on the batched walk vs the scalar oracle:
+        # slowest workload's speedup, and bit-identity on every workload.
+        put(
+            "batched.sampling_min_speedup",
+            min(row["speedup"] for row in rows),
+            higher_is_better=True,
+        )
+        put(
+            "batched.sampling_bit_identical",
+            float(all(row["identical"] for row in rows)),
+            higher_is_better=True,
+        )
+
     rows = _rows(results_dir, "engine")
     if rows:
         put(
