@@ -4,7 +4,7 @@ QRCC's classical evaluation cost is the ``4^(wire cuts) x 6^(gate cuts)``
 subcircuit variants behind every reconstruction.  This harness measures the
 :class:`~repro.cutting.executors.BatchedExactExecutor` (same-structure variants
 stacked into one ``(batch, 2**n)`` pass, see :mod:`repro.simulator.batched`)
-against the scalar :class:`~repro.cutting.executors.ExactExecutor` on the
+against the scalar ``ExactExecutor`` oracle in ``tests/exact_oracle.py`` on the
 enumerated variant batches of three workload families — QFT and a ripple-carry
 adder (probability mode, wire cuts) and a QAOA MaxCut ring (expectation mode,
 wire + gate cuts) — across batch-size caps, including caps smaller than the
@@ -43,7 +43,6 @@ from repro.core.config import CutConfig
 from repro.cutting import (
     BatchedExactExecutor,
     CutReconstructor,
-    ExactExecutor,
     SamplingExecutor,
 )
 from repro.engine import request_key
@@ -53,8 +52,9 @@ from repro.workloads import Workload, WorkloadKind, make_workload
 from bench_engine import halved_ring_solution, ring_qaoa_workload
 from harness import add_smoke_argument, publish, smoke_passed
 
-# The scalar sampling oracle lives with the tests it anchors.
+# The scalar oracles live with the tests they anchor.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from exact_oracle import ExactExecutor  # noqa: E402
 from sampling_oracle import ScalarSamplingExecutor  # noqa: E402
 
 #: Batch-size caps swept per workload (1 = scalar-shaped batches, ragged tails

@@ -8,9 +8,10 @@ evaluates Ising-chain expectation workloads — the regime where the
 under two legs:
 
 * **identity** — ``EngineConfig(optimize_overhead="none")`` (the default) must
-  reproduce the legacy keyword path *bit for bit* on every seed: the optimizer
-  is a pure insertion between enumeration and allocation, and switched off it
-  must leave every downstream number untouched.
+  reproduce the pre-optimizer pipeline (the ``_evaluate_workload_batch`` oracle
+  in ``tests/pipeline_oracle.py``, same shots and seed) *bit for bit* on every
+  seed: the optimizer is a pure insertion between enumeration and allocation,
+  and switched off it must leave every downstream number untouched.
 * **reduction** — with ``optimize_overhead="weights"`` the same workload is
   evaluated on a budget ``reduction``-times smaller than the unoptimized
   baseline, and must still land at *equal or lower* reconstruction error
@@ -27,7 +28,8 @@ from __future__ import annotations
 
 import argparse
 import math
-import warnings
+import sys
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
@@ -45,6 +47,10 @@ from harness import (
     run_once,
     smoke_passed,
 )
+
+# The pre-optimizer pipeline oracle lives with the tests it anchors.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from pipeline_oracle import _evaluate_workload_batch  # noqa: E402
 
 #: The --smoke / CI grid: (family, qubits, device size, budget, claimed shot
 #: reduction).  Ising chains cut with gate cuts, whose six uneven instance
@@ -94,18 +100,15 @@ def generate_overhead_rows(
                 ),
             )
             off_errors.append(abs(off.expectation_error))
-            # Identity leg: the explicit "none" config must match the legacy
-            # keyword spelling bit for bit (the deprecation shim forwards to
-            # the same session, and the optimizer block never runs).
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                legacy = evaluate_workload(
-                    workload,
-                    config,
-                    shots=budget,
-                    seed=seed,
-                    engine_config=EngineConfig(max_workers=jobs),
-                )
+            # Identity leg: the explicit "none" config must match the
+            # pre-optimizer pipeline bit for bit (the optimizer block never runs).
+            legacy = _evaluate_workload_batch(
+                workload,
+                config,
+                engine_config=EngineConfig(max_workers=jobs),
+                shots=budget,
+                seed=seed,
+            )
             rows.append(
                 {
                     "leg": "identity",
@@ -168,9 +171,8 @@ def check_rows(rows: Sequence[Dict[str, object]]) -> None:
     reduction = [row for row in rows if row["leg"] == "reduction"]
     broken = [(row["workload"], row["seed"]) for row in identity if not row["identical"]]
     assert not broken, (
-        f"optimize_overhead='none' diverged from the legacy keyword path for "
-        f"{broken} — the off mode must be bit-identical to the pre-optimizer "
-        f"pipeline"
+        f"optimize_overhead='none' diverged from the pre-optimizer pipeline "
+        f"oracle for {broken} — the off mode must be bit-identical to it"
     )
     assert reduction, "no reduction rows generated"
     for row in reduction:
@@ -225,7 +227,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     add_smoke_argument(
         parser,
         "fixed seeds; asserts optimize_overhead='none' is bit-identical to the "
-        "legacy keyword path on every seed and that 'weights' reaches the "
+        "pre-optimizer pipeline on every seed and that 'weights' reaches the "
         "unoptimized full-budget error on a >= 2x smaller budget for every "
         "workload",
     )

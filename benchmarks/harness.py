@@ -50,10 +50,6 @@ DEFAULT_PRUNE_FRACTION = float(os.environ.get("QRCC_BENCH_PRUNE", "0"))
 #: Default farm routing policy (``--routing`` / ``QRCC_BENCH_ROUTING``).
 DEFAULT_ROUTING = os.environ.get("QRCC_BENCH_ROUTING", "best_fit")
 
-#: Default exact-execution backend (``--backend`` / ``QRCC_BENCH_BACKEND``):
-#: "batched" (vectorized same-structure variant groups) or "scalar".
-DEFAULT_BACKEND = os.environ.get("QRCC_BENCH_BACKEND", "batched")
-
 #: Default reconstruction contraction mode (``--contraction`` /
 #: ``QRCC_BENCH_CONTRACTION``): "planned" (cost-modelled fused kernels, sharded
 #: across the worker pool) or "naive" (the reference walk) — bit-identical.
@@ -73,7 +69,7 @@ DEFAULT_ROUNDS = int(os.environ.get("QRCC_BENCH_ROUNDS", "8"))
 #: Default sampling-overhead optimization mode (``--optimize-overhead`` /
 #: ``QRCC_BENCH_OVERHEAD``): "none" (today's pipeline, bit-identical) or
 #: "weights" (per-cut measurement/preparation basis weights minimizing the
-#: modelled sampling variance; config-only, no evaluate_workload keyword).
+#: modelled sampling variance).
 DEFAULT_OPTIMIZE_OVERHEAD = os.environ.get("QRCC_BENCH_OVERHEAD", "none")
 
 
@@ -91,14 +87,6 @@ def add_engine_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentPa
         type=int,
         default=None,
         help="variant requests per worker task (default: auto, ~4 chunks/worker)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("batched", "scalar"),
-        default=DEFAULT_BACKEND,
-        help="exact executor the engine builds when none is supplied: 'batched' "
-        "(vectorized same-structure variant groups, bit-identical to scalar) "
-        "or 'scalar' (default from QRCC_BENCH_BACKEND or batched)",
     )
     parser.add_argument(
         "--contraction",
@@ -281,25 +269,15 @@ def bench_jobs(argv: Optional[Sequence[str]] = None) -> int:
     return max(1, args.jobs)
 
 
-def bench_backend(argv: Optional[Sequence[str]] = None) -> str:
-    """The ``--backend`` value for a harness (CLI, else QRCC_BENCH_BACKEND, else batched).
-
-    Mirrors :func:`bench_jobs`, so deep harness call chains can resolve the
-    engine backend at the point where they build an :class:`~repro.engine.EngineConfig`
-    without threading one more parameter through every signature.
-    """
-    parser = argparse.ArgumentParser(add_help=False)
-    add_engine_arguments(parser)
-    args, _ = parser.parse_known_args(sys.argv[1:] if argv is None else argv)
-    return args.backend
-
-
 def bench_contraction(argv: Optional[Sequence[str]] = None) -> Tuple[str, Optional[int]]:
     """The ``(--contraction, --contraction-workers)`` pair for a harness.
 
-    Mirrors :func:`bench_backend`: CLI first, else the ``QRCC_BENCH_CONTRACTION``
+    Mirrors :func:`bench_jobs`: CLI first, else the ``QRCC_BENCH_CONTRACTION``
     / ``QRCC_BENCH_CONTRACTION_WORKERS`` environment variables, else
     ``("planned", None)`` — ``None`` workers means follow ``--jobs``.
+    Deep harness call chains resolve it at the point where they build an
+    :class:`~repro.engine.EngineConfig` without threading one more parameter
+    through every signature.
     """
     parser = argparse.ArgumentParser(add_help=False)
     add_engine_arguments(parser)

@@ -26,8 +26,8 @@ the two-pass pilot + Neyman reallocation; see :mod:`repro.engine.allocation`).
 These *do* change the numbers — they become statistical estimates with
 ``O(1/sqrt(shots))`` error — but keep the serial/parallel identity: at a fixed
 executor seed the result is bit-identical for any ``max_workers``.
-:func:`~repro.core.pipeline.evaluate_workload` accepts ``shots`` / ``allocation``
-/ ``seed`` per call, overriding the engine-config defaults.
+Set them on the ``EngineConfig`` passed to
+:func:`~repro.core.pipeline.evaluate_workload`.
 
 Device-farm knobs: ``devices`` routes every variant onto a fleet of
 width-limited backends (:class:`~repro.engine.DeviceSpec`) under a ``routing``

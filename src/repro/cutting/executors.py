@@ -19,14 +19,14 @@ single-variant convenience API is kept and routed through the same path, so the
 dedup-aware ``executions`` counter is authoritative however the executor is
 driven.
 
-Four executors are provided:
+Three executors are provided:
 
-* :class:`ExactExecutor` — exact branching simulation (the default; makes the
-  reconstruction identities hold to numerical precision),
-* :class:`BatchedExactExecutor` — the vectorized fast path: cache-miss requests
-  are grouped by circuit structure (:func:`repro.simulator.batched.variant_group_key`)
-  and each group is evaluated in one ``(batch, 2**n)`` pass, bit-identical to
-  :class:`ExactExecutor` but several times faster on variant families,
+* :class:`BatchedExactExecutor` — exact evaluation (the engine's default; makes
+  the reconstruction identities hold to numerical precision): cache-miss
+  requests are grouped by circuit structure
+  (:func:`repro.simulator.batched.variant_group_key`) and each group is
+  evaluated in one ``(batch, 2**n)`` pass, bit-identical to the scalar
+  :class:`~repro.simulator.dynamic.BranchingSimulator` run one variant at a time,
 * :class:`~repro.cutting.sampling.SamplingExecutor` (in
   :mod:`repro.cutting.sampling`) — finite-shot estimation: every variant value is
   the mean of ``shots`` multinomial samples, with optional per-variant shot
@@ -70,7 +70,7 @@ from ..simulator.dynamic import BranchedResult, BranchingSimulator
 from ..simulator.noise import DeviceModel, inject_pauli_noise
 from .variants import SubcircuitVariant
 
-__all__ = ["VariantExecutor", "ExactExecutor", "BatchedExactExecutor", "NoisyExecutor"]
+__all__ = ["VariantExecutor", "BatchedExactExecutor", "NoisyExecutor"]
 
 #: A pending request as the executors receive it: ``(fingerprint, variant, seed)``.
 PendingTriple = Tuple[str, SubcircuitVariant, Optional[Tuple[int, ...]]]
@@ -302,23 +302,6 @@ class VariantExecutor(ABC):
         return self._cache_hits
 
 
-class ExactExecutor(VariantExecutor):
-    """Exact, noise-free evaluation through the branching simulator."""
-
-    def __init__(self, cache: Optional[ResultCache] = None) -> None:
-        super().__init__(cache)
-        self._simulator = BranchingSimulator()
-
-    def execute_variant(
-        self, variant: SubcircuitVariant, seed: Optional[Tuple[int, ...]] = None
-    ) -> VariantResult:
-        result = self._simulator.run(variant.circuit)
-        distribution = (
-            _signed_distribution(result, variant) if variant.mode == "probability" else None
-        )
-        return VariantResult(value=_signed_value(result), distribution=distribution)
-
-
 #: Complex-element budget of one batched simulation pass (see
 #: :func:`batched_chunks`): ``2**23`` elements is ~128 MB of amplitudes.
 DEFAULT_MAX_BATCH_ELEMENTS = 1 << 23
@@ -383,12 +366,11 @@ class BatchedExactExecutor(VariantExecutor):
     ``(batch, 2**n)`` array walked gate by gate — instead of one full scalar
     pass per variant.
 
-    Results are **bit-identical** to :class:`ExactExecutor`: both run the same
-    elementwise gate kernel and the batched path reproduces the scalar
+    Results are **bit-identical** to running every variant alone through the
+    scalar :class:`~repro.simulator.dynamic.BranchingSimulator`: both run the
+    same elementwise gate kernel and the batched path reproduces the scalar
     branching simulator's projection sums, branch order and accumulation order
-    exactly (see :mod:`repro.simulator.batched`).  Fingerprints, cache keys,
-    dedup and the ``executions`` counter behave identically, so the two
-    executors are drop-in interchangeable.
+    exactly (see :mod:`repro.simulator.batched`).
 
     Args:
         cache: the shared bounded result cache (as on every executor).
@@ -462,7 +444,7 @@ class NoisyExecutor(VariantExecutor):
     Every request draws its own RNG seeded from ``(seed, fingerprint)``, so results
     are independent of execution order (serial == parallel, bit for bit) and can be
     cached under seed-aware keys.  ``executions`` counts *variants*, not
-    trajectories, making overhead reports comparable with :class:`ExactExecutor`.
+    trajectories, making overhead reports comparable with :class:`BatchedExactExecutor`.
     """
 
     def __init__(

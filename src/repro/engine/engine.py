@@ -155,13 +155,9 @@ class ParallelEngine:
     def __init__(self, executor: Any = None, config: Optional[EngineConfig] = None) -> None:
         self._config = config or EngineConfig()
         if executor is None:
-            from ..cutting.executors import BatchedExactExecutor, ExactExecutor
+            from ..cutting.executors import BatchedExactExecutor
 
-            cache = ResultCache(self._config.cache_size)
-            if self._config.backend == "batched":
-                executor = BatchedExactExecutor(cache=cache)
-            else:
-                executor = ExactExecutor(cache=cache)
+            executor = BatchedExactExecutor(cache=ResultCache(self._config.cache_size))
         # A caller-supplied executor keeps whatever cache it was built with:
         # config.cache_size only sizes the cache of engine-created executors,
         # so an explicit memory bound is never silently replaced.

@@ -62,11 +62,18 @@ class InfeasibleVariantError(DeviceError):
 
 
 class ConfigError(ReproError):
-    """Raised for invalid streaming/stopping service configurations.
+    """Raised for an invalid evaluation configuration, at construction time.
 
-    In particular, a :class:`~repro.service.StoppingRule` that could never
-    terminate a session (no shot budget, no deadline, no round cap) is rejected
-    here — at construction time — instead of hanging a service queue later.
+    Covers every engine knob :class:`~repro.engine.EngineConfig` checks (a bad
+    value or an inconsistent combination, such as ``streaming`` without
+    ``shots``), the same knobs passed as per-session overrides to
+    :class:`~repro.service.EvaluationSession`, the knob combinations only a
+    session can check (an engine *and* an executor, ``shots`` on an executor
+    that cannot sample, ``qubit_limit`` on an expectation workload), and the
+    service layer's own settings (queue bounds, tenant budgets, streaming
+    rounds).  A :class:`~repro.service.StoppingRule` that could never terminate
+    a session (no shot budget, no deadline, no round cap) is rejected here too,
+    instead of hanging a service queue later.
     """
 
 

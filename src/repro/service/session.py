@@ -21,13 +21,11 @@ wrapped in a snapshot window and the deltas are accumulated per session.
 from __future__ import annotations
 
 from dataclasses import replace as dataclass_replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from ..cutting import CutReconstructor, SamplingExecutor, VariantExecutor
 from ..cutting.shot_overhead import optimize_overhead_weights
 from ..engine import (
-    ALLOCATION_POLICIES,
-    DeviceSpec,
     EngineConfig,
     EngineStats,
     ParallelEngine,
@@ -37,7 +35,6 @@ from ..engine import (
     prune_requests,
 )
 from ..engine.allocation import _MIN_SIGMA, _sigma_estimate, largest_remainder_split
-from ..engine.config import OVERHEAD_MODES
 from ..engine.devices import DeviceUtilization
 from ..exceptions import ConfigError, CuttingError
 from ..utils.timing import perf_clock
@@ -96,6 +93,13 @@ def _merge_stats(total: Optional[EngineStats], delta: EngineStats) -> EngineStat
 class EvaluationSession:
     """One workload evaluation as an incremental, early-terminable session.
 
+    The knobs from ``shots`` on are per-session overrides of the same-named
+    :class:`~repro.engine.EngineConfig` fields, for sessions that share one
+    engine (:class:`~repro.service.ServiceQueue`).  ``None`` keeps the engine
+    config's value; the others are resolved once through
+    :meth:`EngineConfig.with_ <repro.engine.EngineConfig.with_>`, so they pass
+    exactly the checks a config does.
+
     Args:
         workload: the workload (circuit + kind + observable) to evaluate.
         config: the cutting meta parameters (a ``CutConfig``).
@@ -110,16 +114,14 @@ class EvaluationSession:
             session then never closes it.  Mutually exclusive with
             ``executor``/``engine_config``.
         engine_config: an :class:`~repro.engine.EngineConfig` to build a
-            per-session engine from (closed when the session finishes).
+            per-session engine from (closed when the session finishes).  Its
+            ``seed``, ``devices`` and ``routing`` configure that engine and
+            the sampling executor the session builds for ``shots``.
         shots: total finite-shot budget (``None`` = exact execution).
         allocation: shot-allocation policy (``"uniform"``, ``"weighted"``,
-            ``"variance"``); defaults to the engine config's.
-        seed: base seed for the sampling executor the session builds itself
-            (needs ``shots``; rejected alongside a supplied executor/engine).
+            ``"variance"``).
         pruning: truncated-contraction policy (name or
-            :class:`~repro.engine.PruningPolicy`); defaults to the config's.
-        devices: a device farm for the engine the session builds itself.
-        routing: the farm's routing policy (needs ``devices``).
+            :class:`~repro.engine.PruningPolicy`).
         streaming: a :class:`~repro.service.StreamingConfig` spreading the
             budget over cumulative rounds (needs ``shots``); ``None`` (the
             default, unless the engine config sets one) runs the one-shot
@@ -172,10 +174,7 @@ class EvaluationSession:
         engine_config: Optional[EngineConfig] = None,
         shots: Optional[int] = None,
         allocation: Optional[str] = None,
-        seed: Optional[int] = None,
         pruning: Optional[object] = None,
-        devices: Optional[Sequence[DeviceSpec]] = None,
-        routing: Optional[str] = None,
         streaming: Optional[StreamingConfig] = None,
         stopping: Optional[StoppingRule] = None,
         qubit_limit: Optional[int] = None,
@@ -187,91 +186,26 @@ class EvaluationSession:
                 "gate cutting cannot be used for probability-vector workloads (Section 2.3.2)"
             )
         if engine is not None and (executor is not None or engine_config is not None):
-            raise CuttingError(
+            raise ConfigError(
                 "pass either a prebuilt engine or executor/engine_config, not both"
             )
-        if seed is not None and (engine is not None or executor is not None):
-            raise CuttingError(
-                "seed only applies to the SamplingExecutor evaluate_workload builds "
-                "itself; seed a supplied executor/engine at construction instead"
-            )
-        if engine is not None and (devices is not None or routing is not None):
-            raise CuttingError(
-                "devices/routing configure the engine evaluate_workload builds "
-                "itself; a supplied engine carries its own farm (set "
-                "EngineConfig(devices=..., routing=...) when constructing it)"
-            )
-        resolved_config = engine.config if engine is not None else (engine_config or EngineConfig())
-        if seed is None and engine is None and executor is None:
-            # The config seed only applies to the SamplingExecutor the session
-            # builds itself (a supplied executor/engine carries its own seed).
-            seed = resolved_config.seed
-        if devices is None:
-            devices = resolved_config.devices
-        if routing is not None and devices is None:
-            raise CuttingError("routing needs devices (a farm to route onto)")
-        if shots is None:
-            shots = resolved_config.shots
-        if allocation is None:
-            allocation = resolved_config.allocation
-        if allocation not in ALLOCATION_POLICIES:
-            raise CuttingError(
-                f"allocation must be one of {ALLOCATION_POLICIES}, got {allocation!r}"
-            )
-        if pruning is None:
-            pruning = resolved_config.pruning
-        pruning_policy = PruningPolicy.resolve(pruning)
-        if optimize_overhead is None:
-            optimize_overhead = resolved_config.optimize_overhead
-        if optimize_overhead not in OVERHEAD_MODES:
-            raise ConfigError(
-                f"optimize_overhead must be one of {OVERHEAD_MODES}, "
-                f"got {optimize_overhead!r}"
-            )
-        if seed is not None and shots is None:
-            raise CuttingError(
-                "seed seeds the finite-shot SamplingExecutor and needs shots "
-                "(exact evaluation has nothing to seed)"
-            )
-        if streaming is None:
-            streaming = resolved_config.streaming
-        if stopping is None:
-            stopping = resolved_config.stopping
-        if streaming is not None and not isinstance(streaming, StreamingConfig):
-            raise ConfigError(
-                f"streaming must be a StreamingConfig or None, got {type(streaming).__name__}"
-            )
-        if stopping is not None and not isinstance(stopping, StoppingRule):
-            raise ConfigError(
-                f"stopping must be a StoppingRule or None, got {type(stopping).__name__}"
-            )
-        if stopping is not None and streaming is None:
-            # A stopping rule without an explicit round plan still needs rounds
-            # to check itself between; give it the default cadence.
-            streaming = StreamingConfig()
-        if streaming is not None and shots is None:
-            raise ConfigError(
-                "streaming/stopping need a finite shot budget (shots=...): exact "
-                "evaluation produces its answer in one pass and has no rounds to "
-                "stream or terminate early"
-            )
-        if qubit_limit is None:
-            qubit_limit = resolved_config.qubit_limit
-        if recursion_depth is None:
-            recursion_depth = resolved_config.recursion_depth
-        if qubit_limit is not None and qubit_limit < 1:
-            raise ConfigError(f"qubit_limit must be >= 1 or None, got {qubit_limit}")
-        if recursion_depth is not None:
-            if recursion_depth < 1:
-                raise ConfigError(
-                    f"recursion_depth must be >= 1 or None, got {recursion_depth}"
-                )
-            if qubit_limit is None:
-                raise ConfigError(
-                    "recursion_depth configures the dynamic-definition zoom and "
-                    "needs qubit_limit"
-                )
-        if qubit_limit is not None and workload.kind != WorkloadKind.PROBABILITY:
+        base = engine.config if engine is not None else (engine_config or EngineConfig())
+        overrides = {
+            "shots": shots,
+            "allocation": allocation,
+            "pruning": pruning,
+            "streaming": streaming,
+            "stopping": stopping,
+            "qubit_limit": qubit_limit,
+            "recursion_depth": recursion_depth,
+            "optimize_overhead": optimize_overhead,
+        }
+        # EngineConfig.__post_init__ checks the overrides together with the
+        # base configuration they land on.
+        resolved = base.with_(
+            **{name: value for name, value in overrides.items() if value is not None}
+        )
+        if resolved.qubit_limit is not None and workload.kind != WorkloadKind.PROBABILITY:
             raise ConfigError(
                 "qubit_limit (dynamic definition) bins the reconstructed "
                 "probability vector and only applies to probability workloads; "
@@ -283,35 +217,37 @@ class EvaluationSession:
         self.compute_reference = compute_reference
         self.force_ilp = force_ilp
         self.force_greedy = force_greedy
-        self.shots = shots
-        self.allocation_policy = allocation
-        self.pruning_policy = pruning_policy
-        self.streaming = streaming
-        self.stopping = stopping
-        self.qubit_limit = qubit_limit
-        self.recursion_depth = recursion_depth
-        self.optimize_overhead = optimize_overhead
+        self.shots = resolved.shots
+        self.allocation_policy = resolved.allocation
+        self.pruning_policy = PruningPolicy.resolve(resolved.pruning)
+        # A stopping rule without an explicit round plan still needs rounds to
+        # check itself between; give it the default cadence.
+        self.streaming = resolved.streaming
+        if resolved.stopping is not None and self.streaming is None:
+            self.streaming = StreamingConfig()
+        self.stopping = resolved.stopping
+        self.qubit_limit = resolved.qubit_limit
+        self.recursion_depth = resolved.recursion_depth
+        self.optimize_overhead = resolved.optimize_overhead
 
         self.owns_engine = engine is None
         if engine is None:
-            if executor is None and shots is not None:
+            if executor is None and self.shots is not None:
+                # The config seed only applies to the SamplingExecutor the
+                # session builds itself (a supplied executor carries its own).
                 executor = SamplingExecutor(
-                    shots=shots, seed=seed, cache=ResultCache(resolved_config.cache_size)
+                    shots=self.shots,
+                    seed=resolved.seed,
+                    cache=ResultCache(resolved.cache_size),
                 )
-            build_config = engine_config or EngineConfig()
-            if devices is not None:
-                build_config = build_config.with_(
-                    devices=tuple(devices),
-                    routing=routing if routing is not None else build_config.routing,
-                )
-            engine = ParallelEngine(executor, build_config)
-        if shots is not None and not hasattr(engine.executor, "set_allocation"):
-            raise CuttingError(
-                f"shots={shots} needs a sampling-capable executor with per-variant shot "
+            engine = ParallelEngine(executor, resolved)
+        if self.shots is not None and not hasattr(engine.executor, "set_allocation"):
+            raise ConfigError(
+                f"shots={self.shots} needs a sampling-capable executor with per-variant shot "
                 f"allocation (e.g. SamplingExecutor), got {type(engine.executor).__name__}"
             )
-        if shots is not None and engine.farm is not None and engine.farm.is_heterogeneous:
-            raise CuttingError(
+        if self.shots is not None and engine.farm is not None and engine.farm.is_heterogeneous:
+            raise ConfigError(
                 "shots cannot combine with a heterogeneous device farm (devices "
                 "with noise/executor_factory run their own backends and would "
                 "silently ignore the per-variant shot allocation); use devices "

@@ -18,13 +18,9 @@ from hypothesis import strategies as st
 from repro.circuits import Circuit
 from repro.core import cut_circuit, evaluate_workload
 from repro.core.config import CutConfig
-from repro.cutting import (
-    BatchedExactExecutor,
-    CutReconstructor,
-    ExactExecutor,
-)
+from repro.cutting import BatchedExactExecutor, CutReconstructor
 from repro.engine import EngineConfig, ParallelEngine, request_key
-from repro.exceptions import CuttingError, ReproError, SimulationError
+from repro.exceptions import CuttingError, SimulationError
 from repro.simulator import (
     BatchedStatevector,
     Statevector,
@@ -41,6 +37,8 @@ from strategies import (
     scalar_reference as _scalar_reference,
     variant_groups,
 )
+
+from exact_oracle import ExactExecutor
 
 
 # --------------------------------------------------------------------------- properties
@@ -224,19 +222,17 @@ class TestRealCutEnumerations:
         _assert_tables_bit_identical(scalar, batched)
 
     def test_evaluate_workload_backends_bit_identical(self):
+        """The engine's default batched executor vs the scalar oracle, end to end."""
         workload = make_workload("REG", 6, degree=3, layers=1, seed=5)
         config = CutConfig(device_size=4)
-        scalar = evaluate_workload(
-            workload, config, engine_config=EngineConfig(backend="scalar")
-        )
-        batched = evaluate_workload(
-            workload, config, engine_config=EngineConfig(backend="batched")
-        )
+        scalar = evaluate_workload(workload, config, executor=ExactExecutor())
+        batched = evaluate_workload(workload, config)
         assert scalar.expectation_value == batched.expectation_value
         assert scalar.num_variant_evaluations == batched.num_variant_evaluations
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ReproError, match="backend"):
+        # The engine always builds the batched executor; there is no knob.
+        with pytest.raises(TypeError):
             EngineConfig(backend="gpu")
 
 

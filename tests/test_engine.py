@@ -8,7 +8,6 @@ from repro.core import CutConfig, EngineConfig, evaluate_workload
 from repro.cutting import (
     CutReconstructor,
     CutSolution,
-    ExactExecutor,
     GateCut,
     NoisyExecutor,
     extract_subcircuits,
@@ -22,10 +21,12 @@ from repro.engine import (
     seed_from_fingerprint,
     variant_fingerprint,
 )
-from repro.exceptions import CuttingError, ReproError
+from repro.exceptions import ConfigError, ReproError
 from repro.simulator import DeviceModel, NoiseModel, simulate_statevector
 from repro.utils.pauli import PauliObservable, PauliString
 from repro.workloads import make_workload
+
+from exact_oracle import ExactExecutor
 
 
 @pytest.fixture
@@ -604,7 +605,7 @@ class TestPipelineIntegration:
     def test_engine_and_executor_are_mutually_exclusive(self):
         workload = make_workload("VQE", 5, layers=1)
         config = CutConfig(device_size=3, max_subcircuits=2)
-        with pytest.raises(CuttingError):
+        with pytest.raises(ConfigError):
             evaluate_workload(
                 workload,
                 config,

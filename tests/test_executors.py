@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.cutting import CutReconstructor, ExactExecutor, NoisyExecutor, extract_subcircuits
+from repro.cutting import CutReconstructor, NoisyExecutor, extract_subcircuits
 from repro.cutting.variants import VariantBuilder, VariantSettings
 from repro.exceptions import CuttingError
 from repro.simulator import DeviceModel, NoiseModel
 from repro.utils.pauli import PauliString
+
+from exact_oracle import ExactExecutor
 
 
 def _variant(solution, subcircuit_index, mode="probability", term=None):

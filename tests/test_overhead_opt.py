@@ -1,6 +1,6 @@
 """Tests for sampling-overhead minimization (repro.cutting.shot_overhead) and
 the consolidated evaluate_workload request object (EngineConfig as the single
-source of truth, legacy engine keywords as deprecated aliases)."""
+way to set an engine knob)."""
 
 import itertools
 import math
@@ -8,7 +8,15 @@ import math
 import numpy as np
 import pytest
 
-from repro import CutConfig, EngineConfig, OverheadReport, evaluate_workload
+from repro import (
+    CutConfig,
+    EngineConfig,
+    EvaluationSession,
+    OverheadReport,
+    StoppingRule,
+    StreamingConfig,
+    evaluate_workload,
+)
 from repro.circuits import Circuit
 from repro.cutting import (
     OVERHEAD_MODES,
@@ -18,7 +26,7 @@ from repro.cutting import (
     variant_profile,
 )
 from repro.cutting.variants import SubcircuitVariant, VariantSettings
-from repro.engine import PruningPolicy, request_key
+from repro.engine import DeviceSpec, request_key
 from repro.exceptions import ConfigError, ReproError
 from repro.workloads import make_workload
 
@@ -310,8 +318,6 @@ class TestEngineConfigValidation:
             EngineConfig(seed=3)
 
     def test_session_rejects_unknown_mode(self, ising_workload, ising_config):
-        from repro.service import EvaluationSession
-
         with pytest.raises(ConfigError, match="optimize_overhead"):
             EvaluationSession(
                 ising_workload, ising_config, optimize_overhead="weights!"
@@ -319,58 +325,43 @@ class TestEngineConfigValidation:
 
     def test_optimize_overhead_is_config_only(self, ising_workload, ising_config):
         # Deliberately no keyword alias: the consolidated request object is
-        # the only spelling for new knobs.
+        # the only spelling for an engine knob.
         with pytest.raises(TypeError):
-            evaluate_workload(
-                ising_workload, ising_config, shots=512, optimize_overhead="weights"
-            )
+            evaluate_workload(ising_workload, ising_config, optimize_overhead="weights")
+
+
+#: One valid value per engine knob evaluate_workload once took as a keyword.
+REMOVED_ENGINE_KWARGS = {
+    "shots": 512,
+    "allocation": "uniform",
+    "seed": 3,
+    "pruning": "none",
+    "devices": (DeviceSpec("a", 8),),
+    "routing": "best_fit",
+    "streaming": StreamingConfig(),
+    "stopping": StoppingRule(max_rounds=1),
+    "qubit_limit": 2,
+    "recursion_depth": 1,
+}
 
 
 class TestDeprecatedEngineKwargs:
-    def test_legacy_kwargs_warn_and_match_config_first(
-        self, ising_workload, ising_config
-    ):
-        config_first = evaluate_workload(
-            ising_workload,
-            ising_config,
-            engine_config=EngineConfig(shots=512, seed=3),
-        )
-        with pytest.warns(DeprecationWarning, match="shots"):
-            legacy = evaluate_workload(ising_workload, ising_config, shots=512, seed=3)
-        assert legacy.expectation_value == config_first.expectation_value
+    """The former deprecated keyword aliases are gone: EngineConfig only."""
 
-    def test_conflicting_kwarg_and_config_raise(self, ising_workload, ising_config):
-        with pytest.raises(ConfigError, match="deprecated keyword"):
+    @pytest.mark.parametrize("name", sorted(REMOVED_ENGINE_KWARGS))
+    def test_removed_kwarg_raises_type_error(self, name, ising_workload, ising_config):
+        with pytest.raises(TypeError, match=name):
             evaluate_workload(
-                ising_workload,
-                ising_config,
-                shots=512,
-                engine_config=EngineConfig(shots=1024),
+                ising_workload, ising_config, **{name: REMOVED_ENGINE_KWARGS[name]}
             )
 
-    def test_equal_kwarg_and_config_only_warn(self, ising_workload, ising_config):
-        with pytest.warns(DeprecationWarning):
-            result = evaluate_workload(
-                ising_workload,
-                ising_config,
-                shots=512,
-                seed=0,
-                engine_config=EngineConfig(shots=512, seed=0),
-            )
-        assert result.shot_allocation is not None
-        assert result.shot_allocation.total_shots == 512
-
-    def test_pruning_policy_spellings_do_not_false_conflict(
-        self, ising_workload, ising_config
+    @pytest.mark.parametrize("name", ["seed", "devices", "routing"])
+    def test_session_takes_build_knobs_from_engine_config_only(
+        self, name, ising_workload, ising_config
     ):
-        # "none" (string) and PruningPolicy.none() resolve to the same policy;
-        # the conflict check must compare resolved policies, not raw values.
-        with pytest.warns(DeprecationWarning, match="pruning"):
-            evaluate_workload(
-                ising_workload,
-                ising_config,
-                pruning="none",
-                engine_config=EngineConfig(pruning=PruningPolicy.none()),
+        with pytest.raises(TypeError, match=name):
+            EvaluationSession(
+                ising_workload, ising_config, **{name: REMOVED_ENGINE_KWARGS[name]}
             )
 
     def test_config_seed_feeds_the_sampling_executor(self, ising_workload, ising_config):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import CutConfig, EngineConfig, cut_circuit_cutqc, evaluate_workload
-from repro.cutting import CutReconstructor, ExactExecutor, SamplingExecutor
+from repro.cutting import CutReconstructor, SamplingExecutor
 from repro.engine import (
     ALLOCATION_POLICIES,
     ParallelEngine,
@@ -15,10 +15,19 @@ from repro.engine import (
     largest_remainder_split,
     request_key,
 )
-from repro.exceptions import AllocationError, CuttingError, ReproError, SimulationError
+from repro.exceptions import (
+    AllocationError,
+    ConfigError,
+    CuttingError,
+    ReproError,
+    SimulationError,
+)
 from repro.simulator import distribution_to_counts, sample_counts
 from repro.utils.pauli import PauliObservable, PauliString
 from repro.workloads import make_workload
+
+from exact_oracle import ExactExecutor
+from pipeline_oracle import _evaluate_workload_batch
 
 
 @pytest.fixture
@@ -263,9 +272,11 @@ class TestEvaluateWorkloadShots:
 
     def test_serial_parallel_identity_at_fixed_seed(self, small_case):
         workload, config = small_case
-        serial = evaluate_workload(workload, config, shots=2000, seed=9)
+        serial = evaluate_workload(workload, config, engine_config=EngineConfig(shots=2000, seed=9))
         parallel = evaluate_workload(
-            workload, config, shots=2000, seed=9, engine_config=EngineConfig(max_workers=2)
+            workload,
+            config,
+            engine_config=EngineConfig(max_workers=2, shots=2000, seed=9),
         )
         assert parallel.expectation_value == serial.expectation_value
 
@@ -278,7 +289,10 @@ class TestEvaluateWorkloadShots:
                 [
                     abs(
                         evaluate_workload(
-                            workload, config, shots=shots, seed=seed, compute_reference=False
+                            workload,
+                            config,
+                            compute_reference=False,
+                            engine_config=EngineConfig(shots=shots, seed=seed),
                         ).expectation_value
                         - exact
                     )
@@ -292,7 +306,10 @@ class TestEvaluateWorkloadShots:
     def test_allocation_reported_and_exact(self, small_case, policy):
         workload, config = small_case
         result = evaluate_workload(
-            workload, config, shots=3000, allocation=policy, seed=2, compute_reference=False
+            workload,
+            config,
+            compute_reference=False,
+            engine_config=EngineConfig(shots=3000, allocation=policy, seed=2),
         )
         allocation = result.shot_allocation
         assert isinstance(allocation, ShotAllocation)
@@ -307,9 +324,8 @@ class TestEvaluateWorkloadShots:
         result = evaluate_workload(
             workload,
             config,
-            engine_config=EngineConfig(shots=2000, allocation="weighted"),
-            seed=1,
             compute_reference=False,
+            engine_config=EngineConfig(shots=2000, allocation="weighted", seed=1),
         )
         assert result.shot_allocation is not None
         assert result.shot_allocation.policy == "weighted"
@@ -317,15 +333,21 @@ class TestEvaluateWorkloadShots:
 
     def test_exact_executor_with_shots_rejected(self, small_case):
         workload, config = small_case
-        with pytest.raises(CuttingError, match="sampling-capable"):
-            evaluate_workload(workload, config, executor=ExactExecutor(), shots=100)
+        with pytest.raises(ConfigError, match="sampling-capable"):
+            evaluate_workload(
+                workload,
+                config,
+                executor=ExactExecutor(),
+                engine_config=EngineConfig(shots=100),
+            )
 
     def test_seed_with_supplied_executor_rejected(self, small_case):
+        # A supplied executor is seeded at construction; there is no seed
+        # keyword to pass beside it (a config seed only seeds the executor
+        # the session builds, see TestConfigFirstSampling).
         workload, config = small_case
-        with pytest.raises(CuttingError, match="seed"):
-            evaluate_workload(
-                workload, config, executor=SamplingExecutor(shots=10), shots=100, seed=3
-            )
+        with pytest.raises(TypeError):
+            evaluate_workload(workload, config, executor=SamplingExecutor(shots=10), seed=3)
 
     def test_exact_evaluations_have_no_allocation(self, small_case):
         workload, config = small_case
@@ -335,16 +357,14 @@ class TestEvaluateWorkloadShots:
 
     def test_seed_without_shots_rejected(self, small_case):
         workload, config = small_case
-        with pytest.raises(CuttingError, match="seed"):
-            evaluate_workload(workload, config, seed=7)
+        with pytest.raises(ConfigError, match="seed"):
+            evaluate_workload(workload, config, engine_config=EngineConfig(seed=7))
 
     def test_shared_engine_allocation_cleared_after_call(self, small_case):
         workload, config = small_case
         executor = SamplingExecutor(shots=4096, seed=3)
-        with ParallelEngine(executor) as engine:
-            result = evaluate_workload(
-                workload, config, engine=engine, shots=200, compute_reference=False
-            )
+        with ParallelEngine(executor, EngineConfig(shots=200)) as engine:
+            result = evaluate_workload(workload, config, engine=engine, compute_reference=False)
             # The per-evaluation allocation must not leak into later batches.
             assert executor.allocation == {}
             assert engine.stats.allocation_policy is None
@@ -361,11 +381,11 @@ class TestConfigFirstSampling:
         return make_workload("VQE", 5, layers=1), CutConfig(device_size=3, max_subcircuits=2)
 
     def test_config_first_matches_legacy_kwargs(self, small_case):
+        # The legacy keyword spelling survives only on the pipeline oracle.
         workload, config = small_case
-        with pytest.warns(DeprecationWarning):
-            legacy = evaluate_workload(
-                workload, config, shots=2000, seed=9, compute_reference=False
-            )
+        legacy = _evaluate_workload_batch(
+            workload, config, shots=2000, seed=9, compute_reference=False
+        )
         config_first = evaluate_workload(
             workload,
             config,
@@ -419,7 +439,7 @@ class TestPerCallTimingBugfix:
     def test_total_is_sum_of_stages(self):
         workload = make_workload("VQE", 5, layers=1)
         config = CutConfig(device_size=3, max_subcircuits=2)
-        result = evaluate_workload(workload, config, shots=1000, seed=0)
+        result = evaluate_workload(workload, config, engine_config=EngineConfig(shots=1000, seed=0))
         timings = result.timings
         expected = (
             timings["cut"]

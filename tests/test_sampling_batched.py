@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.circuits import Circuit
 from repro.core import cut_circuit
 from repro.core.config import CutConfig
-from repro.cutting import CutReconstructor, ExactExecutor, SamplingExecutor
+from repro.cutting import CutReconstructor, SamplingExecutor
 from repro.cutting import sampling as sampling_module
 from repro.cutting.executors import branch_output_index
 from repro.engine import EngineConfig, ParallelEngine, request_key
@@ -29,6 +29,7 @@ from repro.exceptions import CuttingError
 from repro.simulator import BranchingSimulator, walk_variant_group
 from repro.workloads import make_workload
 
+from exact_oracle import ExactExecutor
 from sampling_oracle import ScalarSamplingExecutor
 from strategies import (
     assert_tables_bit_identical,

@@ -76,9 +76,11 @@ class TestConcurrentSessions:
             solo = evaluate_workload(
                 workload(seed),
                 CONFIG,
-                shots=SHOTS,
-                seed=0,
-                streaming=StreamingConfig(rounds=3),
+                engine_config=EngineConfig(
+                    shots=SHOTS,
+                    seed=0,
+                    streaming=StreamingConfig(rounds=3),
+                ),
             )
             assert ticket.result.expectation_value == solo.expectation_value
             assert ticket.result.termination_reason == "completed"
@@ -159,6 +161,23 @@ class TestAdmissionControl:
         )
         assert ticket.status == "rejected"
         assert "shot budget" in ticket.reason
+
+    def test_engine_config_shots_are_metered(self):
+        # A submission without shots= inherits the shared engine config's
+        # budget; that resolved budget is what the tenant is charged for.
+        queue = ServiceQueue(
+            shared_engine(shots=SHOTS), max_pending=4, budgets={"alice": 100, "bob": SHOTS}
+        )
+        over = queue.submit(workload(), CONFIG, tenant="alice")
+        assert over.status == "rejected" and over.reason == "budget_exceeded"
+        assert queue.remaining_budget("alice") == 100
+        within = queue.submit(workload(), CONFIG, tenant="bob")
+        assert within.status == "queued" and within.reserved_shots == SHOTS
+        assert queue.remaining_budget("bob") == 0
+        queue.run()
+        assert within.status == "done"
+        assert queue.shots_spent("bob") == SHOTS
+        assert queue.shots_spent("alice") == 0
 
     def test_rejected_tickets_reserve_nothing(self):
         queue = ServiceQueue(shared_engine(), max_pending=4, budgets={"alice": 100})

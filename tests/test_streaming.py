@@ -19,11 +19,11 @@ from repro import (
     StreamingConfig,
     evaluate_workload,
 )
-from repro.core.pipeline import _evaluate_workload_batch
 from repro.service.incremental import StreamingMoments, difference_tables
 from repro.simulator.sampler import sample_weighted_counts_prefix
 from repro.workloads import make_workload
 
+from pipeline_oracle import _evaluate_workload_batch
 from strategies import moment_chunks, small_workload
 
 SMALL_CONFIG = CutConfig(device_size=3, max_subcircuits=2)
@@ -172,7 +172,11 @@ class TestDifferenceTables:
 class TestStreamingBitIdentity:
     def test_streaming_disabled_matches_legacy_pipeline(self):
         workload = small_workload()
-        new = evaluate_workload(workload, SMALL_CONFIG, shots=SMALL_SHOTS, seed=11)
+        new = evaluate_workload(
+            workload,
+            SMALL_CONFIG,
+            engine_config=EngineConfig(shots=SMALL_SHOTS, seed=11),
+        )
         old = _evaluate_workload_batch(workload, SMALL_CONFIG, shots=SMALL_SHOTS, seed=11)
         assert new.expectation_value == old.expectation_value
         assert new.num_variant_evaluations == old.num_variant_evaluations
@@ -194,13 +198,19 @@ class TestStreamingBitIdentity:
         # Run-to-completion streaming must reproduce the one-shot batch draw
         # exactly, for any round count and seed (the prefix-stable identity).
         workload = small_workload()
-        batch = evaluate_workload(workload, SMALL_CONFIG, shots=SMALL_SHOTS, seed=seed)
+        batch = evaluate_workload(
+            workload,
+            SMALL_CONFIG,
+            engine_config=EngineConfig(shots=SMALL_SHOTS, seed=seed),
+        )
         streamed = evaluate_workload(
             workload,
             SMALL_CONFIG,
-            shots=SMALL_SHOTS,
-            seed=seed,
-            streaming=StreamingConfig(rounds=rounds),
+            engine_config=EngineConfig(
+                shots=SMALL_SHOTS,
+                seed=seed,
+                streaming=StreamingConfig(rounds=rounds),
+            ),
         )
         assert streamed.expectation_value == batch.expectation_value
         assert streamed.termination_reason == "completed"
@@ -210,9 +220,11 @@ class TestStreamingBitIdentity:
         result = evaluate_workload(
             small_workload(),
             SMALL_CONFIG,
-            shots=SMALL_SHOTS,
-            seed=3,
-            streaming=StreamingConfig(rounds=4),
+            engine_config=EngineConfig(
+                shots=SMALL_SHOTS,
+                seed=3,
+                streaming=StreamingConfig(rounds=4),
+            ),
         )
         assert result.rounds == 4
         assert result.half_width is not None and result.half_width > 0
@@ -223,17 +235,21 @@ class TestStreamingBitIdentity:
         serial = evaluate_workload(
             workload,
             SMALL_CONFIG,
-            shots=SMALL_SHOTS,
-            seed=5,
-            streaming=StreamingConfig(rounds=3),
+            engine_config=EngineConfig(
+                shots=SMALL_SHOTS,
+                seed=5,
+                streaming=StreamingConfig(rounds=3),
+            ),
         )
         parallel = evaluate_workload(
             workload,
             SMALL_CONFIG,
-            shots=SMALL_SHOTS,
-            seed=5,
-            engine_config=EngineConfig(max_workers=2),
-            streaming=StreamingConfig(rounds=3),
+            engine_config=EngineConfig(
+                max_workers=2,
+                shots=SMALL_SHOTS,
+                seed=5,
+                streaming=StreamingConfig(rounds=3),
+            ),
         )
         assert parallel.expectation_value == serial.expectation_value
 
@@ -243,10 +259,12 @@ class TestStoppingRules:
         result = evaluate_workload(
             small_workload(),
             SMALL_CONFIG,
-            shots=SMALL_SHOTS,
-            seed=0,
-            streaming=StreamingConfig(rounds=6),
-            stopping=StoppingRule(shot_budget=SMALL_SHOTS // 2),
+            engine_config=EngineConfig(
+                shots=SMALL_SHOTS,
+                seed=0,
+                streaming=StreamingConfig(rounds=6),
+                stopping=StoppingRule(shot_budget=SMALL_SHOTS // 2),
+            ),
         )
         assert result.termination_reason == "budget_exhausted"
         assert result.shots_spent < SMALL_SHOTS
@@ -256,10 +274,12 @@ class TestStoppingRules:
         result = evaluate_workload(
             small_workload(),
             SMALL_CONFIG,
-            shots=SMALL_SHOTS,
-            seed=0,
-            streaming=StreamingConfig(rounds=6),
-            stopping=StoppingRule(max_rounds=2),
+            engine_config=EngineConfig(
+                shots=SMALL_SHOTS,
+                seed=0,
+                streaming=StreamingConfig(rounds=6),
+                stopping=StoppingRule(max_rounds=2),
+            ),
         )
         assert result.termination_reason == "max_rounds"
         assert result.rounds == 2
@@ -268,9 +288,11 @@ class TestStoppingRules:
         result = evaluate_workload(
             small_workload(),
             SMALL_CONFIG,
-            shots=SMALL_SHOTS,
-            seed=0,
-            stopping=StoppingRule(max_rounds=2),
+            engine_config=EngineConfig(
+                shots=SMALL_SHOTS,
+                seed=0,
+                stopping=StoppingRule(max_rounds=2),
+            ),
         )
         assert result.termination_reason == "max_rounds"
 
@@ -322,13 +344,17 @@ class TestConfigGuards:
     def test_streaming_without_shots_rejected(self):
         with pytest.raises(ConfigError, match="shot budget"):
             evaluate_workload(
-                small_workload(), SMALL_CONFIG, streaming=StreamingConfig(rounds=2)
+                small_workload(),
+                SMALL_CONFIG,
+                engine_config=EngineConfig(streaming=StreamingConfig(rounds=2)),
             )
 
     def test_streaming_wrong_type_rejected(self):
         with pytest.raises(ConfigError, match="StreamingConfig"):
             evaluate_workload(
-                small_workload(), SMALL_CONFIG, shots=SMALL_SHOTS, streaming=4
+                small_workload(),
+                SMALL_CONFIG,
+                engine_config=EngineConfig(shots=SMALL_SHOTS, streaming=4),
             )
 
     def test_engine_config_validates_streaming_types(self):
@@ -342,12 +368,11 @@ class TestConfigGuards:
     def test_engine_config_carries_streaming(self):
         config = EngineConfig(
             shots=SMALL_SHOTS,
+            seed=1,
             streaming=StreamingConfig(rounds=3),
             stopping=StoppingRule(max_rounds=2),
         )
-        result = evaluate_workload(
-            small_workload(), SMALL_CONFIG, engine_config=config, seed=1
-        )
+        result = evaluate_workload(small_workload(), SMALL_CONFIG, engine_config=config)
         assert result.termination_reason == "max_rounds"
 
 
@@ -358,9 +383,11 @@ class TestSerialization:
         result = evaluate_workload(
             small_workload(),
             SMALL_CONFIG,
-            shots=SMALL_SHOTS,
-            seed=2,
-            streaming=StreamingConfig(rounds=3),
+            engine_config=EngineConfig(
+                shots=SMALL_SHOTS,
+                seed=2,
+                streaming=StreamingConfig(rounds=3),
+            ),
         )
         payload = result.to_dict()
         assert payload["rounds"] == 3
@@ -386,16 +413,18 @@ class TestSessionLifecycle:
         auto = evaluate_workload(
             workload,
             SMALL_CONFIG,
-            shots=SMALL_SHOTS,
-            seed=9,
-            streaming=StreamingConfig(rounds=3),
+            engine_config=EngineConfig(
+                shots=SMALL_SHOTS,
+                seed=9,
+                streaming=StreamingConfig(rounds=3),
+            ),
         )
         session = EvaluationSession(
             workload,
             SMALL_CONFIG,
-            shots=SMALL_SHOTS,
-            seed=9,
-            streaming=StreamingConfig(rounds=3),
+            engine_config=EngineConfig(
+                shots=SMALL_SHOTS, seed=9, streaming=StreamingConfig(rounds=3)
+            ),
         )
         try:
             session.prepare()
